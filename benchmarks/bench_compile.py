@@ -18,7 +18,11 @@ and recorded in BENCH_compile.json:
 * **parity** — the linked and inlined compiles are observationally
   identical: same trace and same state digest over a driven run.
 
-Link-template cache hit rates ride along for the report.
+Link-template cache hit rates ride along for the report, and so does
+the ungated ``source_to_first_reaction`` section: linked vs inlined from
+source text to the first reaction, split into parse / compile / plan
+build / machine boot + first reaction, so a compile-only speedup cannot
+hide cost moved into the plan build.
 """
 
 import gc
@@ -204,6 +208,67 @@ def test_cold_start_from_artifact_store(tmp_path):
     assert speedup >= COLD_START_GATE, (
         f"artifact cold-start only {speedup:.2f}x faster than fresh "
         f"(fresh {fresh_ms:.1f} ms, store {store_ms:.1f} ms)"
+    )
+
+
+def test_source_to_first_reaction():
+    """Linked vs inlined, source text → first reaction, per phase.  The
+    run with the smallest total is reported, with its split; the plan
+    build is timed on its own (``plan_ms``) ahead of the machine boot."""
+    source = modular_score_source(INSTANCES, STAGES)
+
+    def run(options):
+        _clear_all_caches()
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.process_time()
+            table = parse_program(source)
+            parsed = time.process_time()
+            compiled = compile_module(table.get("Score"), table, options)
+            built = time.process_time()
+            plan = compiled.evaluation_plan()
+            planned = time.process_time()
+            machine = ReactiveMachine(compiled)
+            first = sorted(machine.react({"T": True}))
+            booted = time.process_time()
+        finally:
+            gc.enable()
+        split = {
+            "parse_ms": (parsed - start) * 1000.0,
+            "compile_ms": (built - parsed) * 1000.0,
+            "plan_ms": (planned - built) * 1000.0,
+            "boot_ms": (booted - planned) * 1000.0,
+            "total_ms": (booted - start) * 1000.0,
+        }
+        return split, first, machine.backend, plan.has_code
+
+    rows = {}
+    firsts = {}
+    for name, options in (
+        ("inlined", CompileOptions()),
+        ("linked", CompileOptions(link=True)),
+    ):
+        runs = [run(options) for _ in range(ROUNDS)]
+        split, firsts[name], backend, has_code = min(
+            runs, key=lambda r: r[0]["total_ms"]
+        )
+        rows[name] = {
+            **{key: round(value, 2) for key, value in split.items()},
+            "backend": backend,
+            "plan_code_built": has_code,
+        }
+    assert firsts["linked"] == firsts["inlined"], "first reactions differ"
+    _update_bench_json(
+        "source_to_first_reaction",
+        {
+            "instances": INSTANCES,
+            "stages": STAGES,
+            **rows,
+            "speedup": round(
+                rows["inlined"]["total_ms"] / rows["linked"]["total_ms"], 2
+            ),
+        },
     )
 
 

@@ -21,7 +21,7 @@ plans of :mod:`repro.compiler.plan`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.compiler.netlist import INPUT, REG, Circuit, Net
 
@@ -39,9 +39,13 @@ def combinational_edges(circuit: Circuit) -> Dict[int, List[int]]:
     return edges
 
 
-def strongly_connected_components(circuit: Circuit) -> List[List[int]]:
-    """Iterative Tarjan over the combinational graph."""
-    edges = combinational_edges(circuit)
+def strongly_connected_components(
+    circuit: Circuit, edges: Optional[Dict[int, List[int]]] = None
+) -> List[List[int]]:
+    """Iterative Tarjan over the combinational graph (``edges``, when
+    given, is its :func:`combinational_edges` map)."""
+    if edges is None:
+        edges = combinational_edges(circuit)
     index_of: Dict[int, int] = {}
     low: Dict[int, int] = {}
     on_stack: Set[int] = set()
@@ -138,13 +142,13 @@ class Levelization:
         return 1 + max(self.levels) if self.levels else 0
 
 
-def levelize(circuit: Circuit) -> Levelization:
+def levelize(circuit: Circuit, edges: Dict[int, List[int]]) -> Levelization:
     """Topologically sort the augmented circuit into SCC components with
-    longest-path levels (proof of static acyclicity when ``.acyclic``)."""
-    edges = combinational_edges(circuit)
+    longest-path levels (proof of static acyclicity when ``.acyclic``).
+    ``edges`` is the circuit's :func:`combinational_edges` map."""
     # Tarjan emits components sinks-first; reversed() is a topological
     # order of the condensation (sources before their consumers).
-    components = list(reversed(strongly_connected_components(circuit)))
+    components = list(reversed(strongly_connected_components(circuit, edges)))
     comp_of: Dict[int, int] = {}
     for index, component in enumerate(components):
         component.sort()
@@ -171,7 +175,9 @@ def levelize(circuit: Circuit) -> Levelization:
     return Levelization(components, levels, cyclic)
 
 
-def source_cones(circuit: Circuit) -> Dict[int, int]:
+def source_cones(
+    circuit: Circuit, lev: Levelization, edges: Dict[int, List[int]]
+) -> Dict[int, int]:
     """Forward fanout cones of the reaction *sources* (INPUT and REG nets).
 
     The cone of a source is the set of nets reachable from it through
@@ -185,14 +191,14 @@ def source_cones(circuit: Circuit) -> Dict[int, int]:
     in the cone) and computed by a single reverse-topological sweep with
     word-parallel ORs, so plan construction stays cheap even for
     ~10k-net scores.  Only valid for statically acyclic circuits — the
-    caller must check :attr:`Levelization.acyclic` first.
+    caller must check :attr:`Levelization.acyclic` first.  ``lev`` and
+    ``edges`` are the circuit's levelization and its
+    :func:`combinational_edges` map, so no second graph pass is needed.
     """
-    edges = combinational_edges(circuit)
     reach: List[int] = [0] * len(circuit.nets)
-    # Tarjan emits sinks first, so the *unreversed* SCC order is already
-    # reverse-topological; on an acyclic graph every component is a
-    # singleton.
-    for component in strongly_connected_components(circuit):
+    # Consumers before their sources: on an acyclic graph every
+    # component is a singleton.
+    for component in reversed(lev.order):
         net_id = component[0]
         bits = 1 << net_id
         for succ in edges[net_id]:

@@ -1,4 +1,4 @@
-"""Compiled evaluation plans: the levelized straight-line reaction backend.
+"""Evaluation plans: the sorted-equation form every scalar backend runs.
 
 The worklist scheduler (:mod:`repro.runtime.scheduler`) runs every
 reaction as a ternary-propagation fixpoint: queue, per-net fanout lists,
@@ -11,22 +11,32 @@ allocation (sorted-equation evaluation, as in Gaffé/Ressouche/Roy's
 modular Esterel compilation).
 
 :func:`build_plan` levelizes the augmented graph (see
-:func:`repro.compiler.analysis.levelize`), lowers the acyclic components
-to a generated-and-``compile()``d Python function (one assignment per
-net, grouped by level), and keeps every cyclic component as a *block*:
-a small set of nets the runtime relaxes to its local fixpoint in place
-of the straight-line statement.  Fully acyclic circuits — the common
-case, including the login and Skini paper apps — get pure straight-line
-plans; constructive-but-cyclic ones (the pillbox) get straight-line code
-for the acyclic bulk with embedded relaxation blocks.
+:func:`repro.compiler.analysis.levelize`) into that evaluation *order*
+— per-net ranks, kinds and CSR adjacency — and keeps every cyclic
+component as a *block*: a small set of nets the runtime relaxes to its
+local fixpoint.  One :func:`~repro.compiler.analysis.combinational_edges`
+map and one Tarjan pass feed the levelization, the sparse fanout cones
+and the fanout arrays.
+
+The straight-line Python function (one assignment per net, grouped by
+level, blocks embedded as calls) is *not* built by :func:`build_plan`.
+:attr:`EvalPlan.source` / :attr:`EvalPlan.fn` generate and
+``compile()`` it on first use, which only the engines that run it
+repeatedly pay for: the levelized backend, the sparse backend on impure
+plans, and :func:`~repro.compiler.compile.plan_artifact`, which ships
+the marshalled code so a hydrated worker never compiles.  A sparse
+machine on a pure plan runs its rare full sweeps (boot, after
+reset/restore, over-large cones) as an interpreted rank-order sweep
+instead, unless the plan already holds code.
 
 The plan also carries CSR-style flat adjacency arrays (fanin offsets /
 sources / negations, and data-dependency offsets / ids) so the runtime's
 relaxation and divergence paths never chase per-net Python lists.
 
-A plan is immutable and machine-independent: per-machine state (net
-values, register state, the host object) is passed into the compiled
-function on every call, so one plan is shared by every
+A plan is immutable (apart from its lazily built code) and
+machine-independent: per-machine state (net values, register state,
+the host object) is passed into the straight-line function on every
+call, so one plan is shared by every
 :class:`~repro.runtime.machine.ReactiveMachine` built from the same
 compiled module.
 """
@@ -79,8 +89,8 @@ class EvalPlan:
         "fanin_neg",
         "dep_index",
         "dep_ids",
-        "source",
-        "fn",
+        "_source",
+        "_fn",
         "kind_code",
         "rank",
         "rank_order",
@@ -107,8 +117,6 @@ class EvalPlan:
         fanin_neg: array,
         dep_index: array,
         dep_ids: array,
-        source: str,
-        fn: Callable[..., bool],
         kind_code: array,
         rank: array,
         rank_order: array,
@@ -132,8 +140,10 @@ class EvalPlan:
         self.fanin_neg = fanin_neg
         self.dep_index = dep_index
         self.dep_ids = dep_ids
-        self.source = source
-        self.fn = fn
+        #: the straight-line function and its source, built on first use
+        #: (see :attr:`source` / :attr:`fn`)
+        self._source: Optional[str] = None
+        self._fn: Optional[Callable[..., bool]] = None
         #: per-net small-int kind (KIND_OR..KIND_INPUT), for sparse dispatch
         self.kind_code = kind_code
         #: per-net position in the straight-line evaluation order
@@ -156,25 +166,51 @@ class EvalPlan:
         #: per-source cone sizes, for the sparse/full threshold decision
         self.cone_sizes = cone_sizes
 
+    # -- straight-line code ----------------------------------------------
+
+    @property
+    def source(self) -> str:
+        """The generated straight-line reaction function (see
+        :func:`_generate_source`), built on first use."""
+        if self._source is None:
+            self._source = _generate_source(self)
+        return self._source
+
+    @property
+    def fn(self) -> Callable[..., bool]:
+        """:attr:`source` compiled, built on first use.  Engines bind it
+        once per machine; a sparse machine on a pure plan never asks."""
+        if self._fn is None:
+            namespace: Dict[str, Any] = {}
+            exec(compile(self.source, f"<plan:{self.circuit.name}>", "exec"), namespace)
+            self._fn = namespace["__plan_react__"]
+        return self._fn
+
+    @property
+    def has_code(self) -> bool:
+        """True once :attr:`fn` exists (built here, or shipped in an
+        artifact); reading it builds nothing."""
+        return self._fn is not None
+
     # -- serialization ------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, Any]:
         """Closure-free state for plan artifacts.
 
-        ``payloads`` (closures over host scopes) and ``fn`` (an exec'd
-        function object) cannot be pickled; ``fn`` is rebuilt on restore
-        — from the marshalled code object when the reading interpreter
-        matches (the fast path; re-``compile()``-ing a multi-thousand
-        line straight-line source dominates cold-start otherwise), from
-        ``source`` when it does not — and ``payloads`` by :meth:`rebind`
-        once the carrying circuit's payload closures have been rebuilt
-        from their relink specs."""
+        ``payloads`` (closures over host scopes) cannot be pickled; they
+        are restored by :meth:`rebind` once the carrying circuit's
+        payload closures have been rebuilt from their relink specs.  The
+        straight-line function ships as a marshalled code object (built
+        here if no engine has asked for it yet): a hydrated worker then
+        never ``compile()``s, which dominates cold start otherwise.  The
+        source does not ship — if the reading interpreter cannot load the
+        code, :attr:`fn` regenerates it from the plan on first use."""
         import marshal
 
         state = {
             name: getattr(self, name)
             for name in self.__slots__
-            if name not in ("payloads", "fn")
+            if name not in ("payloads", "_fn", "_source")
         }
         try:
             state["__code__"] = marshal.dumps(self.fn.__code__)
@@ -184,25 +220,21 @@ class EvalPlan:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         code_bytes = state.pop("__code__", None)
+        self._source = state.pop("source", None)  # payloads from older releases
         for name, value in state.items():
             setattr(self, name, value)
         self.payloads = ()
-        self.fn = None
+        self._fn = None
         if code_bytes is not None:
             import marshal
             import types
 
             try:
-                self.fn = types.FunctionType(
+                self._fn = types.FunctionType(
                     marshal.loads(code_bytes), {}, "__plan_react__"
                 )
             except Exception:
-                self.fn = None
-        if self.fn is None:
-            namespace: Dict[str, Any] = {}
-            compiled = compile(self.source, f"<plan:{self.circuit.name}>", "exec")
-            exec(compiled, namespace)
-            self.fn = namespace["__plan_react__"]
+                self._fn = None
 
     def rebind(self, circuit: Circuit) -> "EvalPlan":
         """Re-attach the plan to ``circuit`` (the same netlist, typically
@@ -277,8 +309,10 @@ class EvalPlan:
 
     def memory_estimate(self) -> int:
         """Rough size in bytes of the shared plan data (CSR arrays, rank
-        and kind tables, cone sizes, the generated source).  This is paid
-        once per compiled module, however many machines share the plan."""
+        and kind tables, cone sizes, the generated source once built).
+        This is paid once per compiled module, however many machines
+        share the plan.  Builds nothing: a stats scrape must not trigger
+        the straight-line code build."""
         import sys
 
         total = 0
@@ -286,7 +320,8 @@ class EvalPlan:
                      "dep_ids", "kind_code", "rank", "rank_order",
                      "fanout_index", "fanout_ids"):
             total += sys.getsizeof(getattr(self, name))
-        total += sys.getsizeof(self.source)
+        if self._source is not None:
+            total += sys.getsizeof(self._source)
         total += sys.getsizeof(self.payload_ids)
         total += sys.getsizeof(self.reg_slot)
         if self.cone_sizes is not None:
@@ -372,14 +407,9 @@ def _emit_statement(
         out.extend(body)
 
 
-def _generate_source(
-    circuit: Circuit,
-    lev: Levelization,
-    blocks: Tuple[Tuple[int, ...], ...],
-    block_riders: Tuple[Tuple[int, ...], ...],
-    reg_slot: Dict[int, int],
-) -> str:
-    """The straight-line reaction function, one assignment per net.
+def _generate_source(plan: EvalPlan) -> str:
+    """The straight-line reaction function, one assignment per net in
+    ``plan.rank_order``.
 
     Signature: ``f(V, S, P, host, G, B) -> bool`` with ``V`` the values
     list, ``S`` the register state, ``P`` the payload table, ``G``
@@ -387,34 +417,30 @@ def _generate_source(
     Returns False when a block failed to converge (the runtime then
     finishes the least fixpoint and reports the causality error).
     """
+    circuit = plan.circuit
+    levels = plan.levelization.levels
+    reg_slot = plan.reg_slot
+    blocks = plan.blocks
+    # a block's members hold consecutive ranks, its head first
     block_at: Dict[int, int] = {members[0]: k for k, members in enumerate(blocks)}
     block_members = {net_id for members in blocks for net_id in members}
-    riders = {net_id for members in block_riders for net_id in members}
+    riders = {net_id for members in plan.block_riders for net_id in members}
     lines: List[str] = ["def __plan_react__(V, S, P, host, G, B):"]
     current_level = -1
-    # Levels strictly increase along augmented edges, so components on the
-    # same level are independent and any within-level order is valid.  Use
-    # net-id (creation) order: the worklist fires simultaneously-enabled
-    # actions in fanout (creation) order, and host-side effects that are
-    # ordered only by that convention — e.g. the frame-var Assign an
-    # inlined `run` prepends ahead of readers of the bound var — must
-    # observe the same order here.
-    for component in sorted(
-        lev.order, key=lambda comp: (lev.levels[comp[0]], comp[0])
-    ):
-        head = component[0]
-        if head in block_members:
-            if head in block_at:
-                lines.append(f"    # -- cyclic block {block_at[head]} "
-                             f"({len(component)} nets, level {lev.levels[head]}) --")
-                lines.append(f"    if not B[{block_at[head]}]():")
+    for net_id in plan.rank_order:
+        if net_id in block_members:
+            if net_id in block_at:
+                k = block_at[net_id]
+                lines.append(f"    # -- cyclic block {k} "
+                             f"({len(blocks[k])} nets, level {levels[net_id]}) --")
+                lines.append(f"    if not B[{k}]():")
                 lines.append("        return False")
             continue
-        level = lev.levels[head]
+        level = levels[net_id]
         if level != current_level:
             lines.append(f"    # -- level {level} --")
             current_level = level
-        _emit_statement(circuit.nets[head], reg_slot, lines, guarded=head in riders)
+        _emit_statement(circuit.nets[net_id], reg_slot, lines, guarded=net_id in riders)
     lines.append("    # -- latch registers --")
     for net_id, slot in reg_slot.items():
         src, neg = circuit.nets[net_id].inputs[0]
@@ -424,13 +450,15 @@ def _generate_source(
 
 
 def build_plan(circuit: Circuit) -> EvalPlan:
-    """Levelize ``circuit`` and compile its evaluation plan.
+    """Levelize ``circuit`` into its evaluation plan (the straight-line
+    code is built lazily, see :attr:`EvalPlan.fn`).
 
     Always succeeds: cyclic components become relaxation blocks rather
     than failures.  Check :attr:`EvalPlan.is_pure` /
     :attr:`EvalPlan.auto_eligible` for backend policy.
     """
-    lev = levelize(circuit)
+    edges = combinational_edges(circuit)
+    lev = levelize(circuit, edges)
     registers = [net for net in circuit.nets if net.kind == REG]
     inputs = [net for net in circuit.nets if net.kind == INPUT]
     reg_slot = {net.id: slot for slot, net in enumerate(registers)}
@@ -463,13 +491,17 @@ def build_plan(circuit: Circuit) -> EvalPlan:
         tuple(ids) for ids in rider_lists
     )
     fanin_index, fanin_src, fanin_neg, dep_index, dep_ids = _fanin_csr(circuit)
-    source = _generate_source(circuit, lev, blocks, block_riders, reg_slot)
-    namespace: Dict[str, Any] = {}
-    code = compile(source, f"<plan:{circuit.name}>", "exec")
-    exec(code, namespace)
 
-    # -- sparse-mode tables -------------------------------------------------
+    # -- the evaluation order and the sparse-mode tables ---------------------
     kind_code = array("b", (_KIND_CODE[net.kind] for net in circuit.nets))
+    # Levels strictly increase along augmented edges, so components on the
+    # same level are independent and any within-level order is valid.  Use
+    # net-id (creation) order: the worklist fires simultaneously-enabled
+    # actions in fanout (creation) order, and host-side effects that are
+    # ordered only by that convention — e.g. the frame-var Assign an
+    # inlined `run` prepends ahead of readers of the bound var — must
+    # observe the same order in every engine that walks ``rank_order``
+    # (the straight-line code, the sparse sweeps, the word plan).
     rank = array("l", [0]) * len(circuit.nets)
     rank_order = array("l", [0]) * len(circuit.nets)
     position = 0
@@ -480,7 +512,6 @@ def build_plan(circuit: Circuit) -> EvalPlan:
             rank[net_id] = position
             rank_order[position] = net_id
             position += 1
-    edges = combinational_edges(circuit)
     fanout_index = array("l", [0])
     fanout_ids = array("l")
     for net in circuit.nets:
@@ -497,7 +528,7 @@ def build_plan(circuit: Circuit) -> EvalPlan:
     cones: Optional[Dict[int, int]] = None
     cone_sizes: Optional[Dict[int, int]] = None
     if not blocks:
-        cones = source_cones(circuit)
+        cones = source_cones(circuit, lev, edges)
         cone_sizes = {src: bits.bit_count() for src, bits in cones.items()}
 
     return EvalPlan(
@@ -513,8 +544,6 @@ def build_plan(circuit: Circuit) -> EvalPlan:
         fanin_neg,
         dep_index,
         dep_ids,
-        source,
-        namespace["__plan_react__"],
         kind_code,
         rank,
         rank_order,

@@ -179,7 +179,6 @@ def build_word_plan(plan: EvalPlan) -> WordPlan:
             f"{plan.circuit.name!r} has {len(plan.blocks)} cyclic block(s)"
         )
     circuit = plan.circuit
-    lev = plan.levelization
     reg_slot = plan.reg_slot
     lowered: List[int] = []
     fired: List[int] = []
@@ -189,14 +188,11 @@ def build_word_plan(plan: EvalPlan) -> WordPlan:
         "def __word_react__(W, R, IM, PRE, FM, FIRE, AB):",
         "    G = IM.get",
     ]
-    # Identical component order to the scalar plan (see _generate_source):
-    # levels strictly increase along augmented edges and ties break by net
-    # id, so per-member payload firing order matches every scalar backend.
-    for component in sorted(
-        lev.order, key=lambda comp: (lev.levels[comp[0]], comp[0])
-    ):
-        net = circuit.nets[component[0]]
-        i = net.id
+    # The scalar plan's evaluation order (a pure plan's components are
+    # single nets), so per-member payload firing order matches every
+    # scalar backend.
+    for i in plan.rank_order:
+        net = circuit.nets[i]
         kind = net.kind
         if kind == INPUT:
             lines.append(f"    W[{i}] = G({i}, 0)")

@@ -1,4 +1,4 @@
-"""Levelized reaction backend: straight-line plan execution.
+"""Plan-driven reaction backends: levelized full sweeps and sparse cones.
 
 :class:`LevelizedScheduler` is a drop-in replacement for the worklist
 :class:`~repro.runtime.scheduler.Scheduler` (same ``values`` / ``state``
@@ -6,7 +6,18 @@
 host payloads cannot tell them apart).  Each reaction calls the plan's
 compiled straight-line function, which evaluates every net exactly once
 in level order — no queue, no ternary ⊥ bookkeeping, no per-reaction
-allocation (the values buffer is recycled with a slice copy).
+allocation (the values buffer is recycled with a slice copy).  The
+function is built on first use of the plan (:attr:`EvalPlan.fn`) and
+bound once per scheduler.
+
+:class:`SparseScheduler` re-evaluates only the dirty cone of each
+reaction.  On a pure plan its rare full sweeps (the boot reaction, the
+first reaction after ``reset()`` / ``restore()``, over-large cones) run
+the *interpreted* rank-order sweep — the same per-net evaluator as its
+tail-scan bailout, then every register latched — unless the plan
+already holds compiled code (a hydrated artifact, or one a levelized
+machine built), in which case it calls that.  A sparse machine compiled
+from source therefore never generates or ``compile()``s plan code.
 
 Cyclic components the levelization could not sort (constructive-but-
 cyclic programs) run as embedded *relaxation blocks*: a local ternary
@@ -73,6 +84,12 @@ class LevelizedScheduler:
         self.budget: Optional[int] = None
         #: net evaluations spent by the last (possibly aborted) reaction
         self.last_evaluated: int = 0
+        #: the compiled full sweep, bound once so no reaction pays the
+        #: plan's lazy-build property lookup; None = interpreted sweep
+        self._fn: Optional[Callable[..., bool]] = self._sweep_fn(plan)
+
+    def _sweep_fn(self, plan: EvalPlan) -> Optional[Callable[..., bool]]:
+        return plan.fn
 
     # ------------------------------------------------------------------
 
@@ -84,7 +101,7 @@ class LevelizedScheduler:
         values = self.values
         self._check_static_budget(len(values))
         values[:] = self._blank
-        ok = self.plan.fn(
+        ok = self._fn(
             values,
             self.state,
             self.plan.payloads,
@@ -250,13 +267,13 @@ class SparseScheduler(LevelizedScheduler):
     Two fallbacks bound the cost when a lot *did* change.  Statically,
     when the union forward cone of the changed sources covers more than
     :data:`SPARSE_FULL_CONE_FRACTION` of the circuit, the reaction takes
-    the compiled full sweep outright.  Dynamically — because static
-    reachability over-approximates (in control-heavy circuits almost
-    every net is reachable from any input, while a typical reaction
-    changes a handful) — the heap loop counts the nets it actually
-    dirtied, and past :data:`SPARSE_BAILOUT_FRACTION` of the circuit it
-    degrades to a straight-line *tail scan* over the remaining ranks.
-    The tail scan, unlike restarting the compiled sweep, is safe after
+    a full sweep outright (see :meth:`_react_full`).  Dynamically —
+    because static reachability over-approximates (in control-heavy
+    circuits almost every net is reachable from any input, while a
+    typical reaction changes a handful) — the heap loop counts the nets
+    it actually dirtied, and past :data:`SPARSE_BAILOUT_FRACTION` of the
+    circuit it degrades to a straight-line *tail scan* over the remaining
+    ranks.  The tail scan, unlike restarting a full sweep, is safe after
     payloads have already fired: every net still gets evaluated exactly
     once, in the straight-line order.
 
@@ -288,6 +305,13 @@ class SparseScheduler(LevelizedScheduler):
         #: count of sparse vs full-sweep reactions (introspection)
         self.sparse_reactions = 0
         self.full_reactions = 0
+
+    def _sweep_fn(self, plan: EvalPlan) -> Optional[Callable[..., bool]]:
+        # Impure plans always take the compiled sweep; pure ones use code
+        # only when the plan already holds it.
+        if plan.sparse_eligible and not plan.has_code:
+            return None
+        return plan.fn
 
     # ------------------------------------------------------------------
 
@@ -337,7 +361,15 @@ class SparseScheduler(LevelizedScheduler):
     # ------------------------------------------------------------------
 
     def _react_full(self, input_values: Dict[int, bool], present: set) -> None:
-        """Compiled full sweep, then rebuild the sparse tracking state.
+        """Full sweep, then rebuild the sparse tracking state.
+
+        The sweep is the plan's compiled function when this scheduler
+        bound one, else the interpreted rank-order sweep: a tail scan
+        from rank 0, then every register latched, exactly as the
+        compiled function ends.  Both evaluate every net once in the same
+        order, so values, payload firing order and the register file
+        agree; both latch only after the last net, so a payload that
+        raises leaves the registers untouched and the next reaction full.
 
         Unlike the levelized backend the values buffer is *not* blanked:
         a pure plan assigns every net unconditionally, and between
@@ -347,18 +379,27 @@ class SparseScheduler(LevelizedScheduler):
         self._need_full = True
         plan = self.plan
         values = self.values
+        state = self.state
         self._check_static_budget(len(values))
-        plan.fn(
-            values,
-            self.state,
-            plan.payloads,
-            self.host,
-            input_values.get,
-            self._blocks,
-        )
+        if self._fn is not None:
+            self._fn(
+                values,
+                state,
+                plan.payloads,
+                self.host,
+                input_values.get,
+                self._blocks,
+            )
+        else:
+            # scratch tracking sets: a raise mid-sweep must leave this
+            # scheduler's own as the compiled sweep would
+            self._tail_scan(0, input_values, [], [], set())
+            for wire, latches in plan.latch_of_wire.items():
+                wire_value = bool(values[wire])
+                for slot, neg, _ in latches:
+                    state[slot] = wire_value ^ neg
         # Registers: the sweep showed V[reg] = old state, then latched the
         # new state, so a plain compare yields next reaction's dirty set.
-        state = self.state
         self._dirty_regs = [
             reg_id
             for reg_id, slot in plan.reg_slot.items()
@@ -431,7 +472,7 @@ class SparseScheduler(LevelizedScheduler):
                     # next rank on (payloads already fired stay fired and
                     # every remaining net is evaluated exactly once).
                     self._tail_scan(
-                        heap[0][0], input_values, dirty_order, pending_latches
+                        heap[0][0], input_values, dirty_order, pending_latches, hot
                     )
                     break
                 _, i = heappop(heap)
@@ -497,12 +538,15 @@ class SparseScheduler(LevelizedScheduler):
         input_values: Dict[int, bool],
         dirty_order: List[int],
         pending_latches: List[Tuple[int, Tuple[Tuple[int, bool, int], ...]]],
+        hot: set,
     ) -> None:
         """Finish a bailed-out sparse reaction: evaluate every net from
         ``start_rank`` to the end in straight-line order.  All nets below
         ``start_rank`` are settled (dirty ones were heap-popped in rank
         order, the rest are unchanged), so this is exactly the tail of
-        the full sweep — same values, same payload firing order."""
+        the full sweep — same values, same payload firing order.  Every
+        net lands on ``dirty_order``, changed register wires on
+        ``pending_latches``, and payload nets enter or leave ``hot``."""
         plan = self.plan
         values = self.values
         state = self.state
@@ -515,7 +559,6 @@ class SparseScheduler(LevelizedScheduler):
         latch_of_wire = plan.latch_of_wire
         rank_order = plan.rank_order
         host = self.host
-        hot = self._hot
         if self.budget is not None:
             # The tail evaluates exactly the remaining ranks, so the
             # deadline check is one comparison up front, not per net.
