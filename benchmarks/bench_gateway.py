@@ -109,6 +109,16 @@ async def _unloaded_baseline(seed=1):
     return samples
 
 
+def _lockstep_summary(fleet):
+    """How much of the audience the lockstep word engine still holds."""
+    lockstep = fleet.stats()["lockstep"]
+    return {
+        "resident_share": round(lockstep["resident"] / max(1, len(fleet)), 3),
+        "word_instants": lockstep["word_instants"],
+        "demotions_external": lockstep["demotions"]["external"],
+    }
+
+
 async def _cohort(seed, chaos, storm_p):
     """One full cohort run: ramped connects, closed-loop driving with
     think time, optional chaos + reconnect storms, quiesce, and the
@@ -203,6 +213,9 @@ async def _cohort(seed, chaos, storm_p):
         "diffs_coalesced": gw.counters["diffs_coalesced"],
         "p50_ms": round(_pct(samples, 0.50), 3),
         "p99_ms": round(_pct(samples, 0.99), 3),
+        # recorded, not gated; read before the oracle parity check below,
+        # whose state_digest() calls demote every member
+        "lockstep": _lockstep_summary(fleet),
     }
 
     if chaos:
@@ -295,4 +308,9 @@ if __name__ == "__main__":
           f"p99 (gate {storm['gate']:.0f}x); lost diffs "
           f"{storm['lost_diffs']}, double-applied {storm['double_applied']}; "
           f"digest parity {storm['digest_parity']}")
+    for label, section in (("clean", clean), ("storm", storm)):
+        word = section["lockstep"]
+        print(f"  lockstep ({label}): resident share {word['resident_share']:.3f}, "
+              f"{word['word_instants']} word instants, "
+              f"{word['demotions_external']} external demotions")
     print(f"  wrote {BENCH_JSON.name}")

@@ -7,10 +7,13 @@ queue turns into unbounded latency.  The ingress layer's claim, gated
 here and recorded in BENCH_overload.json:
 
 * ``steady``: unloaded per-member react latency through the ingress
-  pump path (collapse + take + react), median and p99 over one pump of
-  the whole fleet — the baseline everything else is measured against;
+  pump path (collapse + take + one batched fleet instant; a member's
+  react completes with its pump round), median and p99 over one pump
+  of the whole fleet — the baseline everything else is measured
+  against;
 * ``overload`` (gated): an open-loop Poisson arrival process at **10x
-  the sustainable rate** (1000 / steady-median events per second) is
+  the sustainable rate** (the unloaded drain rate: reacted members per
+  second of pump time) is
   driven into a coalescing :class:`~repro.runtime.fleet.FleetIngress`
   on a :class:`~repro.host.SimulatedLoop`, pumping between arrival
   slices.  Coalescing collapses each member's backlog into one merged
@@ -29,6 +32,8 @@ runs.
 """
 
 import argparse
+import contextlib
+import gc
 import itertools
 import json
 import time
@@ -62,27 +67,66 @@ def _update_bench_json(section, payload):
 
 
 class _RecordingClock:
-    """A perf_counter stand-in for ``FleetIngress.pump``: the pump reads
-    the clock exactly twice per member react (start, finish), so pairing
-    consecutive stamps recovers every per-react latency sample."""
+    """A perf_counter stand-in for ``FleetIngress.pump``: an unsupervised
+    pump reacts its chosen members as one fleet batch and reads the clock
+    exactly twice per round (batch start, batch finish).  Every member
+    react in a round completes with the round, so each one gets the
+    round's wall time as its latency sample; the reacted members over
+    the summed round times is the drain rate."""
 
     def __init__(self):
         self.stamps = []
+        self.sizes = []
 
     def __call__(self):
         now = time.perf_counter()
         self.stamps.append(now)
         return now
 
-    def samples_ms(self):
+    def drain(self, ingress):
+        """``ingress.pump_all()``, round by round, recording how many
+        members each round reacted."""
+        while True:
+            results = ingress.pump(clock=self)
+            reacted = len(results) + len(ingress.last_failures)
+            if not reacted:
+                return
+            self.sizes.append(reacted)
+
+    def _round_ms(self):
         stamps = self.stamps
         return [
-            (stamps[i + 1] - stamps[i]) * 1000.0
-            for i in range(0, len(stamps) - 1, 2)
+            (stamps[2 * i + 1] - stamps[2 * i]) * 1000.0
+            for i in range(len(self.sizes))
         ]
+
+    def samples_ms(self):
+        samples = []
+        for ms, size in zip(self._round_ms(), self.sizes):
+            samples.extend([ms] * size)
+        return samples
+
+    def rate_per_s(self):
+        return 1000.0 * sum(self.sizes) / sum(self._round_ms())
 
     def reset(self):
         self.stamps = []
+        self.sizes = []
+
+
+@contextlib.contextmanager
+def _frozen_heap():
+    """Collect, then keep what exists (the booted fleet, the scheduled
+    arrivals) out of the cyclic collector while a phase is timed: a
+    pump round's time is the latency of every member in it, so one full
+    collection walking the harness's 20k scheduled arrivals would
+    otherwise land on a fifth of the overload samples."""
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def _median(samples):
@@ -103,15 +147,16 @@ def _participant_inputs(event):
 def _steady_baseline(ingress, rounds=3):
     """Unloaded baseline: one offer per member, pumped through the same
     collapse/take/react path the overload run uses.  The first round
-    warms caches and is discarded."""
+    warms caches and is discarded.  Returns the recording clock of the
+    last round."""
     clock = _RecordingClock()
     for round_index in range(rounds):
         if round_index == rounds - 1:
             clock.reset()
         for index in range(len(ingress)):
             ingress.offer(index, _participant_inputs(index))
-        ingress.pump_all(clock=clock)
-    return clock.samples_ms()
+        clock.drain(ingress)
+    return clock
 
 
 def test_overload_p99_within_gate():
@@ -125,7 +170,9 @@ def test_overload_p99_within_gate():
         capacity=PROFILE["capacity"], policy="coalesce", coalesce_on_pump=True
     )
 
-    steady = _steady_baseline(ingress)
+    with _frozen_heap():
+        steady_clock = _steady_baseline(ingress)
+    steady = steady_clock.samples_ms()
     steady_median_ms = _median(steady)
     steady_p99_ms = _p99(steady)
     _update_bench_json(
@@ -138,10 +185,10 @@ def test_overload_p99_within_gate():
         },
     )
 
-    # sustainable = what a serial drain keeps up with; offer 10x that,
-    # sized (via the virtual-time duration) to a fixed event budget so
-    # wall-clock cost stays bounded on any host
-    sustainable_per_s = 1000.0 / steady_median_ms
+    # sustainable = what the unloaded drain keeps up with; offer 10x
+    # that, sized (via the virtual-time duration) to a fixed event budget
+    # so wall-clock cost stays bounded on any host
+    sustainable_per_s = steady_clock.rate_per_s()
     rate_per_s = OVERLOAD_FACTOR * sustainable_per_s
     duration_ms = PROFILE["events"] / rate_per_s * 1000.0
     base = ingress.stats()  # baseline traffic, netted out of the run below
@@ -160,11 +207,12 @@ def test_overload_p99_within_gate():
     # alternates between accepting traffic and reacting
     clock = _RecordingClock()
     slice_ms = duration_ms / PROFILE["slices"]
-    for _ in range(PROFILE["slices"]):
-        loop.advance(slice_ms)
-        ingress.pump_all(clock=clock)
-    loop.run_until_idle()
-    ingress.pump_all(clock=clock)
+    with _frozen_heap():
+        for _ in range(PROFILE["slices"]):
+            loop.advance(slice_ms)
+            clock.drain(ingress)
+        loop.run_until_idle()
+        clock.drain(ingress)
 
     samples = clock.samples_ms()
     p99_ms = _p99(samples)
@@ -278,14 +326,16 @@ def test_reaction_budget_overhead():
     """Deadline checking on the hot path: a steady pump with
     ``budget="auto"`` vs no budget.  Informational (recorded, not
     gated) — the checks are counter arithmetic, so the ratio should
-    stay near 1."""
+    stay near 1.  A budgeted pump reacts scalar (the lockstep word
+    cannot enforce a deadline), so both sides run scalar members to
+    time the checks alone."""
     size = min(PROFILE["fleet_size"], 200)
     timings = {}
     for label, budget in (("unbounded", None), ("auto_budget", "auto")):
-        fleet = make_audience_fleet(size)
+        fleet = make_audience_fleet(size, backend="levelized")
         fleet.react_all({})
         ingress = fleet.ingress(capacity=8, budget=budget)
-        steady = _steady_baseline(ingress)
+        steady = _steady_baseline(ingress).samples_ms()
         timings[label] = _median(steady)
     ratio = timings["auto_budget"] / timings["unbounded"]
     _update_bench_json(

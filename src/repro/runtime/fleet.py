@@ -18,12 +18,18 @@ Typical use::
     fleet.react_all({"tick": True})            # batch-drive every member
     fleet.react_one(42, {"play": True})        # drive one participant
     fleet.memory_report()                      # shared vs per-machine split
+
+:class:`FleetIngress` (``fleet.ingress(...)``) is the admission layer in
+front of a fleet: fleet-side mailboxes, rate limiting, health-aware
+routing, and a pump that reacts the members with mail as one fleet
+batch — the same batched path as ``react_all`` — so members in the
+lockstep word stay there.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import FleetReactionError, MachineError
 from repro.lang import ast as A
@@ -208,16 +214,20 @@ class MachineFleet:
         make_inputs: Callable[[int, ReactiveMachine], Dict[str, Any]],
         shared: Optional[Dict[str, Any]] = None,
         as_dict: bool = False,
+        budget: Optional[Any] = None,
     ) -> Any:
         """Run one reaction on each addressed member, completing the
         whole batch before reporting failures (shared by ``react_all`` /
-        ``broadcast`` / ``react_each``).
+        ``broadcast`` / ``react_each`` and the :class:`FleetIngress`
+        pump).
 
         Word-resident members are partitioned into one lockstep word
         instant (``shared`` marks the broadcast case where every member
         got the same map, enabling the engine's shared-result path);
         everyone else reacts scalar, and a clean scalar reaction
-        re-promotes the member into the word for the next batch.
+        re-promotes the member into the word for the next batch.  A
+        reaction ``budget`` routes the whole batch scalar (the word
+        cannot enforce a deadline) and leaves its members there.
         """
         indices = list(indices)
         results: Any = {} if as_dict else [None] * len(self._machines)
@@ -225,7 +235,7 @@ class MachineFleet:
         failures: Dict[int, Exception] = {}
         engine = self._engine
         scalar_indices: List[int] = []
-        if engine is not None and engine.resident_count:
+        if engine is not None and engine.resident_count and budget is None:
             members = len(self._machines)
             full = shared is not None and len(indices) == members
             word_batch: Optional[List[Any]] = None
@@ -272,6 +282,8 @@ class MachineFleet:
                     and not failures
                 ):
                     # whole fleet shared one quiescent result
+                    if as_dict:
+                        return dict.fromkeys(indices, default)
                     return [default] * members
                 failures.update(word_failures)
                 for index, _, _ in word_batch:
@@ -283,12 +295,14 @@ class MachineFleet:
         for index in scalar_indices:
             machine = self._machines[index]
             try:
-                results[index] = machine.react(make_inputs(index, machine))
+                results[index] = machine.react(
+                    make_inputs(index, machine), budget=budget
+                )
                 completed.append(index)
             except Exception as err:
                 failures[index] = err
             else:
-                if engine is not None:
+                if engine is not None and budget is None:
                     engine.try_promote(machine)
         completed.sort()
         if failures:
@@ -401,6 +415,26 @@ class MachineFleet:
         return FleetIngress(self, **kwargs)
 
 
+_ABSENT = object()
+
+
+def _one_map(maps: Any) -> Optional[Dict[str, Any]]:
+    """The input map every one of ``maps`` carries, or ``None``.  Values
+    must be the *same objects* (as :meth:`FleetIngress.offer_all` leaves
+    them), not merely equal: the shared word write hands one value to
+    every member, and ``1 == True`` would otherwise swap a value's type."""
+    maps = iter(maps)
+    first = next(maps)
+    items = first.items()
+    for other in maps:
+        if len(other) != len(first):
+            return None
+        for name, value in items:
+            if other.get(name, _ABSENT) is not value:
+                return None
+    return first
+
+
 class FleetIngress:
     """Admission control in front of a :class:`MachineFleet`: bounded
     per-member mailboxes, a fleet-wide token-bucket rate limiter,
@@ -410,6 +444,10 @@ class FleetIngress:
     every offered input map is *admitted, coalesced, shed, rate-limited
     or rejected by a recorded decision*; nothing is silently lost and
     nothing buffers unboundedly, no matter the offered load.
+
+    The mailboxes are fleet-side state and :meth:`pump` drives the
+    fleet's one batched reaction path, so word-resident members stay in
+    the lockstep word.
 
     :param fleet: the fleet (or a :class:`~repro.runtime.recovery.FleetSupervisor`
         via ``supervisor``) whose members this ingress guards.
@@ -423,13 +461,15 @@ class FleetIngress:
         when given, pumping reacts through each member's supervisor
         (rollback/retry on failure) and routing skips quarantined members.
     :param target_latency_ms: adaptive batch-sizing target — when the
-        EWMA of per-instant react latency exceeds it, the pump batch
-        halves (down to ``min_batch``); when comfortably below (80 %),
-        the batch grows by one (up to ``max_batch``).
+        EWMA of pump latency (per batch; per member when supervised)
+        exceeds it, the pump batch halves (down to ``min_batch``); when
+        comfortably below (80 %), the batch grows by one (up to
+        ``max_batch``).
     :param min_batch: smallest adaptive batch (members per pump round).
     :param max_batch: largest adaptive batch (default: the fleet size).
     :param ewma_alpha: smoothing factor of the latency EWMA.
-    :param budget: reaction deadline forwarded to every pumped react.
+    :param budget: reaction deadline forwarded to every pumped react
+        (the word cannot enforce one: budgeted pumps react scalar).
     :param coalesce_on_pump: collapse each member's whole backlog into
         one merged instant before reacting (the overload-flattening mode
         the bench gate measures); ``False`` drains one queued map per
@@ -467,12 +507,15 @@ class FleetIngress:
         #: member indices removed from routing (shard migration sources);
         #: their mailbox slots stay so historic indices remain stable
         self.retired: set = set()
+        #: per-member mailboxes, kept here: ``machine.attach_mailbox``
+        #: would demote every word-resident member
         self.mailboxes: List[Mailbox] = [
             Mailbox.for_machine(machine, capacity=capacity, policy=policy)
             for machine in fleet
         ]
-        for machine, mailbox in zip(fleet, self.mailboxes):
-            machine.attach_mailbox(mailbox)
+        #: indices whose mailbox holds mail (added by :meth:`offer`,
+        #: pruned once a mailbox empties), so a pump never scans all N
+        self._ready: Set[int] = set()
         self.bucket: Optional[TokenBucket] = (
             TokenBucket(rate_per_s, burst) if rate_per_s is not None else None
         )
@@ -510,8 +553,14 @@ class FleetIngress:
             return False
         if self.supervisor is not None and self.supervisor.members[index].quarantined:
             return False
-        breakers = self.fleet[index].health["breakers"]
-        return all(b.get("state") != "open" for b in breakers.values())
+        # read the breakers, not the whole ``health`` snapshot; only an
+        # open one needs its snapshot (which may lapse it to half-open)
+        breakers = self.fleet[index]._breakers
+        return not breakers or all(
+            getattr(b, "state", "open") != "open"
+            or b.snapshot().get("state") != "open"
+            for b in breakers.values()
+        )
 
     def healthy_members(self) -> List[int]:
         return [i for i in range(len(self.fleet)) if self.is_healthy(i)]
@@ -534,11 +583,9 @@ class FleetIngress:
             machine = self.fleet.spawn(**overrides)
         else:
             self.fleet._machines.append(machine)
-        mailbox = Mailbox.for_machine(
-            machine, capacity=self._capacity, policy=self._policy
+        self.mailboxes.append(
+            Mailbox.for_machine(machine, capacity=self._capacity, policy=self._policy)
         )
-        machine.attach_mailbox(mailbox)
-        self.mailboxes.append(mailbox)
         self.max_batch = max(self.max_batch, len(self.mailboxes))
         return len(self.mailboxes) - 1
 
@@ -548,6 +595,7 @@ class FleetIngress:
         oldest first, to be shipped with the member — and mark the slot
         retired so no new input is admitted to it.  Idempotent."""
         backlog = self.mailboxes[index].drain()
+        self._ready.discard(index)
         self.retired.add(index)
         return backlog
 
@@ -564,7 +612,9 @@ class FleetIngress:
         if self.bucket is not None and not self.bucket.try_acquire(now_ms):
             self.stats_counters["rate_limited"] += 1
             return RATE_LIMITED
-        return self.mailboxes[index].offer(inputs)
+        decision = self.mailboxes[index].offer(inputs)
+        self._ready.add(index)
+        return decision
 
     def offer_all(
         self, inputs: Mapping[str, Any], now_ms: float = 0.0
@@ -593,48 +643,77 @@ class FleetIngress:
 
     # -- draining --------------------------------------------------------
 
-    def _react_member(
-        self, index: int, inputs: Dict[str, Any]
-    ) -> ReactionResult:
-        if self.supervisor is not None:
-            return self.supervisor.members[index].react(inputs, budget=self.budget)
-        return self.fleet[index].react(inputs, budget=self.budget)
+    def _take(self, index: int) -> Dict[str, Any]:
+        mailbox = self.mailboxes[index]
+        if self.coalesce_on_pump:
+            mailbox.collapse()
+        inputs = mailbox.take()
+        if not mailbox.pending:
+            self._ready.discard(index)
+        return inputs
 
     def pump(self, clock: Callable[[], float] = time.perf_counter) -> Dict[int, ReactionResult]:
         """One adaptive pump round: drive up to :attr:`batch_size`
         healthy members with pending mail (round-robin, so a noisy member
         cannot starve the rest), one instant each.  With
         ``coalesce_on_pump`` the member's whole backlog is first
-        collapsed into one merged instant.  Failures are collected in
+        collapsed into one merged instant.
+
+        The chosen members react as *one* fleet batch
+        (:meth:`MachineFleet._drive_batch`): word-resident members stay
+        in the lockstep word, and when every chosen map is the same (a
+        beat's :meth:`offer_all`) the engine's shared-result path
+        applies.  A ``supervisor`` pump instead reacts member by member
+        through each member's supervisor.  Failures are collected in
         :attr:`last_failures` without aborting the round; react latency
-        feeds the EWMA and resizes the next round's batch."""
+        (per batch, or per member when supervised) feeds the EWMA and
+        resizes the next round's batch."""
         size = len(self.mailboxes)
+        cursor = self._cursor
         chosen: List[int] = []
-        for step in range(size):
-            index = (self._cursor + step) % size
-            if self.mailboxes[index].pending and self.is_healthy(index):
+        for index in sorted(self._ready, key=lambda i: (i - cursor) % size):
+            if self.is_healthy(index):
                 chosen.append(index)
                 if len(chosen) >= self.batch_size:
                     break
-        self._cursor = (chosen[-1] + 1) % size if chosen else self._cursor
+        if chosen:
+            self._cursor = (chosen[-1] + 1) % size
         results: Dict[int, ReactionResult] = {}
         failures: Dict[int, BaseException] = {}
-        for index in chosen:
-            mailbox = self.mailboxes[index]
-            if self.coalesce_on_pump:
-                mailbox.collapse()
-            inputs = mailbox.take()
+        if self.supervisor is not None:
+            for index in chosen:
+                inputs = self._take(index)
+                started = clock()
+                try:
+                    results[index] = self.supervisor.members[index].react(
+                        inputs, budget=self.budget
+                    )
+                    if self.on_instant is not None:
+                        self.on_instant(index, inputs)
+                except Exception as err:
+                    failures[index] = err
+                finally:
+                    self.latency.observe((clock() - started) * 1000.0)
+        elif chosen:
+            taken = {index: self._take(index) for index in chosen}
             started = clock()
             try:
-                results[index] = self._react_member(index, inputs)
-                self.stats_counters["pumped"] += 1
-                if self.on_instant is not None:
-                    self.on_instant(index, inputs)
-            except Exception as err:
-                failures[index] = err
-                self.stats_counters["pump_failures"] += 1
-            finally:
-                self.latency.observe((clock() - started) * 1000.0)
+                results = self.fleet._drive_batch(
+                    taken,
+                    lambda index, machine: taken[index],
+                    shared=_one_map(taken.values()),
+                    as_dict=True,
+                    budget=self.budget,
+                )
+            except FleetReactionError as err:
+                results, failures = err.results, err.failures
+            self.latency.observe((clock() - started) * 1000.0)
+            if self.on_instant is not None:
+                for index in chosen:
+                    if index in results:
+                        self.on_instant(index, taken[index])
+        self.stats_counters["pumped"] += len(results)
+        self.stats_counters["pump_failures"] += len(failures)
         self.last_failures = failures
         self._resize_batch()
         return results
@@ -648,9 +727,7 @@ class FleetIngress:
         ``max_rounds`` rounds); returns each member's *last* result."""
         results: Dict[int, ReactionResult] = {}
         for _ in range(max_rounds):
-            if not any(
-                self.mailboxes[i].pending for i in self.healthy_members()
-            ):
+            if not any(self.is_healthy(i) for i in self._ready):
                 break
             results.update(self.pump(clock))
         return results

@@ -30,12 +30,14 @@ Invariants the engine maintains (and the parity suite checks):
 * **Divergence demotes.**  Anything the word cannot express — exec-block
   activity, deferred sub-instants, payload failures, or any external
   access to the machine (direct ``react``/``snapshot``/``restore``/
-  ``reset``/``replay``, journal or mailbox attachment) — exports the
-  member's bits back into its scalar scheduler (the exact
+  ``reset``/``replay``, journal or ``attach_mailbox`` attachment) —
+  exports the member's bits back into its scalar scheduler (the exact
   ``restore()`` pattern) and clears its bit in *every* plane, so a later
   promotion only ORs true bits into zeroed columns.  Demoted members
   rejoin the word automatically after their next clean scalar reaction
-  in a fleet batch.
+  in a fleet batch.  A :class:`~repro.runtime.fleet.FleetIngress` keeps
+  its mailboxes on the fleet side and pumps through that same batch
+  path, so members behind it stay resident.
 * **Failure is per-member.**  A payload exception aborts only that
   member's bit: its registers stay unlatched, its statuses absent, its
   ``reaction_count`` unincremented and the exception is reported through
@@ -46,7 +48,8 @@ The one observable (and documented) difference from driving members
 scalar-by-scalar: payload host effects are interleaved net-major (net
 order outer, member order inner) instead of member-major.  *Per member*
 the effect order is byte-identical; only host sinks shared across
-members can see the transposed interleaving.
+members can see the transposed interleaving — including across the
+members of one ingress pump round, which is one word instant.
 """
 
 from __future__ import annotations
