@@ -8,84 +8,90 @@ cycles.  Some cycles are harmless (they stabilize for every input — the
 constructive programs of section 5.2), so a cycle is a warning, not an
 error; actual deadlocks are detected at run time by the scheduler.
 
-The second analysis is *levelization* (:func:`levelize`): a topological
-sort of the augmented graph — boolean fanin edges *and* the EXPR/ACTION
-data-dependency edges together — into the condensation of its strongly
-connected components, with a longest-path level per net.  Statically
-acyclic regions need no fixpoint iteration at all: they can be evaluated
-as straight-line code, one net per statement, in level order (sorted-
-equation evaluation in the sense of Gaffé/Ressouche/Roy's modular
-Esterel compilation).  The levelization feeds the compiled evaluation
-plans of :mod:`repro.compiler.plan`.
+Both the cycle check and the evaluation plans of
+:mod:`repro.compiler.plan` rest on one analysis, *levelization*
+(:func:`levelize`): a topological sort of the augmented graph — boolean
+fanin edges *and* the EXPR/ACTION data-dependency edges together — with
+a longest-path level per net.  Statically acyclic regions need no
+fixpoint iteration at all: they can be evaluated as straight-line code,
+one net per statement, in level order (sorted-equation evaluation in the
+sense of Gaffé/Ressouche/Roy's modular Esterel compilation).  The sort
+is one linear Kahn pass; Tarjan's strongly connected components run only
+when that pass leaves nets it cannot order, i.e. on cyclic circuits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
 from repro.compiler.netlist import INPUT, REG, Circuit, Net
 
 
-def combinational_edges(circuit: Circuit) -> Dict[int, List[int]]:
-    """Adjacency: edges source → consumer through combinational nets."""
-    edges: Dict[int, List[int]] = {net.id: [] for net in circuit.nets}
+def combinational_edges(circuit: Circuit) -> List[List[int]]:
+    """Fanout lists, indexed by net id: edges source → consumer through
+    combinational nets, each consumer listed once per fanin or data
+    dependency it has on the source, consumers in id order."""
+    fanout: List[List[int]] = [[] for _ in circuit.nets]
     for net in circuit.nets:
-        if net.kind in (REG, INPUT):
+        if net.kind == REG or net.kind == INPUT:
             continue  # outputs known at reaction start; no incoming edges
+        i = net.id
         for source, _neg in net.inputs:
-            edges[source].append(net.id)
+            fanout[source].append(i)
         for dep in net.deps:
-            edges[dep].append(net.id)
-    return edges
+            fanout[dep].append(i)
+    return fanout
 
 
 def strongly_connected_components(
-    circuit: Circuit, edges: Optional[Dict[int, List[int]]] = None
+    circuit: Circuit, edges: Optional[List[List[int]]] = None
 ) -> List[List[int]]:
     """Iterative Tarjan over the combinational graph (``edges``, when
-    given, is its :func:`combinational_edges` map)."""
+    given, is its :func:`combinational_edges` lists), roots in id order.
+    Components come out sinks first, members in stack-pop order."""
     if edges is None:
         edges = combinational_edges(circuit)
-    index_of: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
+    index_of: List[int] = [-1] * len(edges)
+    low: List[int] = [0] * len(edges)
+    on_stack = bytearray(len(edges))
     stack: List[int] = []
     sccs: List[List[int]] = []
-    counter = [0]
+    counter = 0
 
-    for root in edges:
-        if root in index_of:
+    for root in range(len(edges)):
+        if index_of[root] >= 0:
             continue
         work = [(root, iter(edges[root]))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
+        index_of[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
         while work:
             node, it = work[-1]
             advanced = False
             for succ in it:
-                if succ not in index_of:
-                    index_of[succ] = low[succ] = counter[0]
-                    counter[0] += 1
+                if index_of[succ] < 0:
+                    index_of[succ] = low[succ] = counter
+                    counter += 1
                     stack.append(succ)
-                    on_stack.add(succ)
+                    on_stack[succ] = 1
                     work.append((succ, iter(edges[succ])))
                     advanced = True
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
+                if on_stack[succ] and index_of[succ] < low[node]:
+                    low[node] = index_of[succ]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
             if low[node] == index_of[node]:
                 component: List[int] = []
                 while True:
                     member = stack.pop()
-                    on_stack.discard(member)
+                    on_stack[member] = 0
                     component.append(member)
                     if member == node:
                         break
@@ -93,122 +99,116 @@ def strongly_connected_components(
     return sccs
 
 
-def find_cycles(circuit: Circuit) -> List[List[Net]]:
-    """Return combinational cycles (SCCs of size > 1, or self-loops)."""
-    cycles: List[List[Net]] = []
-    for component in strongly_connected_components(circuit):
-        if len(component) > 1:
-            cycles.append([circuit.nets[i] for i in component])
-        else:
-            net = circuit.nets[component[0]]
-            if any(src == net.id for src, _ in net.inputs) or net.id in net.deps:
-                cycles.append([net])
-    return cycles
-
-
 class Levelization:
-    """The condensation of the augmented graph in evaluation order.
+    """The augmented graph in evaluation order.
 
-    ``order``
-        SCCs (member-id lists, ids ascending within an SCC) in a
-        topological order of the condensation: every boolean fanin and
-        every data dependency of a component lies in an earlier one.
     ``levels``
-        per-net longest-path depth; all members of an SCC share their
-        component's level.  Registers, inputs and source gates sit at
-        level 0.
+        per-net longest-path depth; all members of a cyclic component
+        share their component's level.  Registers, inputs and source
+        gates sit at level 0.
     ``cyclic``
-        the subset of ``order`` that is *not* straight-line evaluable:
-        components of size > 1, plus self-loops.
+        the components that are *not* straight-line evaluable (strongly
+        connected components of size > 1, plus self-loops), sources
+        before the components that read them.  Members are in Tarjan's
+        stack-pop order, the order the cycle warnings list them in.
+    ``depth``
+        the number of levels.
     """
 
-    __slots__ = ("order", "levels", "cyclic")
+    __slots__ = ("levels", "cyclic")
 
-    def __init__(self, order: List[List[int]], levels: List[int], cyclic: List[List[int]]):
-        self.order = order
+    def __init__(self, levels: List[int], cyclic: List[List[int]]):
         self.levels = levels
         self.cyclic = cyclic
 
-    @property
-    def acyclic(self) -> bool:
-        return not self.cyclic
-
-    @property
-    def cyclic_net_count(self) -> int:
-        return sum(len(c) for c in self.cyclic)
+    def __setstate__(self, state) -> None:
+        # Pickled slots arrive as ``(None, {slot: value})``; payloads from
+        # older releases also carry an ``order`` slot, no longer kept.
+        if isinstance(state, tuple):
+            state = state[1]
+        self.levels = state["levels"]
+        self.cyclic = state["cyclic"]
 
     @property
     def depth(self) -> int:
         return 1 + max(self.levels) if self.levels else 0
 
 
-def levelize(circuit: Circuit, edges: Dict[int, List[int]]) -> Levelization:
-    """Topologically sort the augmented circuit into SCC components with
-    longest-path levels (proof of static acyclicity when ``.acyclic``).
-    ``edges`` is the circuit's :func:`combinational_edges` map."""
-    # Tarjan emits components sinks-first; reversed() is a topological
-    # order of the condensation (sources before their consumers).
-    components = list(reversed(strongly_connected_components(circuit, edges)))
-    comp_of: Dict[int, int] = {}
-    for index, component in enumerate(components):
-        component.sort()
-        for net_id in component:
-            comp_of[net_id] = index
+def levelize(
+    circuit: Circuit, edges: Optional[List[List[int]]] = None
+) -> Levelization:
+    """Sort the augmented circuit topologically with longest-path levels
+    (a proof of static acyclicity when ``.cyclic`` is empty).  ``edges``
+    is the circuit's :func:`combinational_edges` lists, built here if
+    omitted.
 
-    levels: List[int] = [0] * len(circuit.nets)
-    comp_level = [0] * len(components)
-    cyclic: List[List[int]] = []
-    for index, component in enumerate(components):
-        level = comp_level[index]
-        for net_id in component:
-            levels[net_id] = level
-            for succ in edges[net_id]:
-                succ_comp = comp_of[succ]
-                if succ_comp != index and comp_level[succ_comp] <= level:
-                    comp_level[succ_comp] = level + 1
-        if len(component) > 1:
-            cyclic.append(component)
-        else:
-            net = circuit.nets[component[0]]
-            if any(src == net.id for src, _ in net.inputs) or net.id in net.deps:
-                cyclic.append(component)
-    return Levelization(components, levels, cyclic)
-
-
-def source_cones(
-    circuit: Circuit, lev: Levelization, edges: Dict[int, List[int]]
-) -> Dict[int, int]:
-    """Forward fanout cones of the reaction *sources* (INPUT and REG nets).
-
-    The cone of a source is the set of nets reachable from it through
-    combinational edges (boolean fanins and EXPR/ACTION data
-    dependencies), including the source itself: exactly the nets whose
-    value can differ between two reactions that differ only in that
-    source.  The sparse reaction mode (:mod:`repro.runtime.fastsched`)
-    re-evaluates the union cone of the sources that actually changed.
-
-    Cones are represented as Python-int bitsets (bit *i* set ⇔ net *i*
-    in the cone) and computed by a single reverse-topological sweep with
-    word-parallel ORs, so plan construction stays cheap even for
-    ~10k-net scores.  Only valid for statically acyclic circuits — the
-    caller must check :attr:`Levelization.acyclic` first.  ``lev`` and
-    ``edges`` are the circuit's levelization and its
-    :func:`combinational_edges` map, so no second graph pass is needed.
+    One Kahn pass, frontier by frontier: a net joins frontier *k + 1*
+    when the last of its fanins is removed with frontier *k*, so the
+    frontier index is its longest-path level.  What the pass cannot
+    remove — the *residue* — is every net on a cycle or downstream of
+    one; only then does Tarjan run, to condense the circuit and level
+    the residue's components on top of the nets Kahn already placed.
     """
-    reach: List[int] = [0] * len(circuit.nets)
-    # Consumers before their sources: on an acyclic graph every
-    # component is a singleton.
-    for component in reversed(lev.order):
-        net_id = component[0]
-        bits = 1 << net_id
-        for succ in edges[net_id]:
-            bits |= reach[succ]
-        reach[net_id] = bits
-    return {
-        net.id: reach[net.id]
-        for net in circuit.nets
-        if net.kind in (REG, INPUT)
-    }
+    if edges is None:
+        edges = combinational_edges(circuit)
+    pending = [0] * len(edges)
+    for consumers in edges:
+        for v in consumers:
+            pending[v] += 1
+    levels = [0] * len(edges)
+    frontier = [i for i, count in enumerate(pending) if not count]
+    placed = 0
+    level = 0
+    while frontier:
+        placed += len(frontier)
+        ready: List[int] = []
+        for u in frontier:
+            levels[u] = level
+            for v in edges[u]:
+                count = pending[v] - 1
+                pending[v] = count
+                if not count:
+                    ready.append(v)
+        frontier = ready
+        level += 1
+    if placed == len(edges):
+        return Levelization(levels, [])
+    return _level_components(circuit, edges, levels)
+
+
+def _level_components(
+    circuit: Circuit, edges: List[List[int]], levels: List[int]
+) -> Levelization:
+    """Condense the circuit into its strongly connected components and
+    level them sources first, each one above every component it reads.
+    Kahn's levels are already final outside the residue; pushing them
+    along the edges again only lifts the residue's components."""
+    components = strongly_connected_components(circuit, edges)
+    comp_of = [0] * len(edges)
+    for index, component in enumerate(components):
+        for i in component:
+            comp_of[i] = index
+    cyclic: List[List[int]] = []
+    for index in range(len(components) - 1, -1, -1):
+        component = components[index]
+        level = max(levels[i] for i in component)
+        for i in component:
+            levels[i] = level
+            for v in edges[i]:
+                if comp_of[v] != index and levels[v] <= level:
+                    levels[v] = level + 1
+        if len(component) > 1 or component[0] in edges[component[0]]:
+            cyclic.append(component)
+    return Levelization(levels, cyclic)
+
+
+def find_cycles(circuit: Circuit) -> List[List[Net]]:
+    """Return combinational cycles (SCCs of size > 1, or self-loops),
+    sinks first, as Tarjan finds them."""
+    return [
+        [circuit.nets[i] for i in component]
+        for component in reversed(levelize(circuit).cyclic)
+    ]
 
 
 def cycle_warnings(circuit: Circuit) -> List[str]:

@@ -14,9 +14,10 @@ modular Esterel compilation).
 :func:`repro.compiler.analysis.levelize`) into that evaluation *order*
 — per-net ranks, kinds and CSR adjacency — and keeps every cyclic
 component as a *block*: a small set of nets the runtime relaxes to its
-local fixpoint.  One :func:`~repro.compiler.analysis.combinational_edges`
-map and one Tarjan pass feed the levelization, the sparse fanout cones
-and the fanout arrays.
+local fixpoint.  The build is linear: one set of fanout lists
+(:func:`~repro.compiler.analysis.combinational_edges`) feeds one Kahn
+pass and the fanout arrays, and every CSR array is flattened from the
+per-net lists in one go.
 
 The straight-line Python function (one assignment per net, grouped by
 level, blocks embedded as calls) is *not* built by :func:`build_plan`.
@@ -26,8 +27,8 @@ repeatedly pay for: the levelized backend, the sparse backend on impure
 plans, and :func:`~repro.compiler.compile.plan_artifact`, which ships
 the marshalled code so a hydrated worker never compiles.  A sparse
 machine on a pure plan runs its rare full sweeps (boot, after
-reset/restore, over-large cones) as an interpreted rank-order sweep
-instead, unless the plan already holds code.
+reset/restore) as an interpreted rank-order sweep instead, unless the
+plan already holds code.
 
 The plan also carries CSR-style flat adjacency arrays (fanin offsets /
 sources / negations, and data-dependency offsets / ids) so the runtime's
@@ -44,14 +45,11 @@ compiled module.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.compiler.analysis import (
-    Levelization,
-    combinational_edges,
-    levelize,
-    source_cones,
-)
+from repro.compiler.analysis import Levelization, combinational_edges, levelize
 from repro.compiler.netlist import ACTION, AND, EXPR, INPUT, OR, REG, Circuit, Net
 
 #: `backend="auto"` picks the levelized plan only while straight-line
@@ -99,8 +97,6 @@ class EvalPlan:
         "payload_ids",
         "reg_slot",
         "latch_of_wire",
-        "cones",
-        "cone_sizes",
     )
 
     def __init__(
@@ -125,8 +121,6 @@ class EvalPlan:
         payload_ids: Tuple[int, ...],
         reg_slot: Dict[int, int],
         latch_of_wire: Dict[int, Tuple[Tuple[int, bool, int], ...]],
-        cones: Optional[Dict[int, int]],
-        cone_sizes: Optional[Dict[int, int]],
     ):
         self.circuit = circuit
         self.levelization = levelization
@@ -160,11 +154,6 @@ class EvalPlan:
         self.reg_slot = reg_slot
         #: register input wire -> ((slot, negated, reg_net_id), ...)
         self.latch_of_wire = latch_of_wire
-        #: per-source (INPUT/REG) forward cone bitsets; None when the plan
-        #: has relaxation blocks (sparse mode disabled)
-        self.cones = cones
-        #: per-source cone sizes, for the sparse/full threshold decision
-        self.cone_sizes = cone_sizes
 
     # -- straight-line code ----------------------------------------------
 
@@ -220,7 +209,11 @@ class EvalPlan:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         code_bytes = state.pop("__code__", None)
-        self._source = state.pop("source", None)  # payloads from older releases
+        # payloads from older releases: the eager source, and the sparse
+        # fanout cones the plan no longer keeps
+        self._source = state.pop("source", None)
+        state.pop("cones", None)
+        state.pop("cone_sizes", None)
         for name, value in state.items():
             setattr(self, name, value)
         self.payloads = ()
@@ -258,7 +251,10 @@ class EvalPlan:
 
     @property
     def is_pure(self) -> bool:
-        """True when the whole reaction is straight-line (no blocks)."""
+        """True when the whole reaction is straight-line (no blocks):
+        the sparse dirty-cone mode can run it.  Relaxation blocks always
+        take the full sweep, so impure plans gain nothing from change
+        tracking."""
         return not self.blocks
 
     @property
@@ -272,13 +268,6 @@ class EvalPlan:
             self.circuit.nets
         )
 
-    @property
-    def sparse_eligible(self) -> bool:
-        """Can the sparse dirty-cone mode run this plan?  Requires a pure
-        (fully straight-line) plan: relaxation blocks always take the full
-        sweep, so non-pure plans gain nothing from change tracking."""
-        return self.is_pure and self.cones is not None
-
     # -- introspection ------------------------------------------------------
 
     def describe(self) -> Dict[str, int]:
@@ -290,26 +279,9 @@ class EvalPlan:
             "blocks": len(self.blocks),
         }
 
-    def cone_stats(self) -> Dict[str, float]:
-        """Dirty-cone statistics over the reaction sources (INPUT/REG
-        nets): how much of the circuit one changed source can dirty.
-        Used by ``docs/performance.md`` and the benchmark reports."""
-        if not self.cone_sizes:
-            return {"sources": 0, "mean_cone": 0.0, "max_cone": 0.0,
-                    "mean_cone_fraction": 0.0, "max_cone_fraction": 0.0}
-        sizes = list(self.cone_sizes.values())
-        n = len(self.circuit.nets)
-        return {
-            "sources": len(sizes),
-            "mean_cone": sum(sizes) / len(sizes),
-            "max_cone": float(max(sizes)),
-            "mean_cone_fraction": sum(sizes) / len(sizes) / n,
-            "max_cone_fraction": max(sizes) / n,
-        }
-
     def memory_estimate(self) -> int:
         """Rough size in bytes of the shared plan data (CSR arrays, rank
-        and kind tables, cone sizes, the generated source once built).
+        and kind tables, the generated source once built).
         This is paid once per compiled module, however many machines
         share the plan.  Builds nothing: a stats scrape must not trigger
         the straight-line code build."""
@@ -324,11 +296,6 @@ class EvalPlan:
             total += sys.getsizeof(self._source)
         total += sys.getsizeof(self.payload_ids)
         total += sys.getsizeof(self.reg_slot)
-        if self.cone_sizes is not None:
-            total += sys.getsizeof(self.cone_sizes)
-        if self.cones is not None:
-            total += sys.getsizeof(self.cones)
-            total += sum(sys.getsizeof(bits) for bits in self.cones.values())
         return total
 
     def __repr__(self) -> str:
@@ -339,22 +306,13 @@ class EvalPlan:
         )
 
 
-def _fanin_csr(circuit: Circuit) -> Tuple[array, array, array, array, array]:
-    """Flatten per-net ``inputs``/``deps`` lists into CSR arrays."""
-    fanin_index = array("l", [0])
-    fanin_src = array("l")
-    fanin_neg = array("b")
-    dep_index = array("l", [0])
-    dep_ids = array("l")
-    for net in circuit.nets:
-        for src, neg in net.inputs:
-            fanin_src.append(src)
-            fanin_neg.append(1 if neg else 0)
-        fanin_index.append(len(fanin_src))
-        for dep in net.deps:
-            dep_ids.append(dep)
-        dep_index.append(len(dep_ids))
-    return fanin_index, fanin_src, fanin_neg, dep_index, dep_ids
+def _csr(lists: List[List[Any]]) -> Tuple[array, List[Any]]:
+    """CSR offsets of per-net ``lists`` (``offsets[i]:offsets[i + 1]``
+    spans net *i*), and their concatenation."""
+    return (
+        array("l", accumulate(map(len, lists), initial=0)),
+        list(chain.from_iterable(lists)),
+    )
 
 
 def _literal(src: int, neg: bool) -> str:
@@ -457,15 +415,44 @@ def build_plan(circuit: Circuit) -> EvalPlan:
     than failures.  Check :attr:`EvalPlan.is_pure` /
     :attr:`EvalPlan.auto_eligible` for backend policy.
     """
+    nets = circuit.nets
     edges = combinational_edges(circuit)
     lev = levelize(circuit, edges)
-    registers = [net for net in circuit.nets if net.kind == REG]
-    inputs = [net for net in circuit.nets if net.kind == INPUT]
+    levels = lev.levels
+    registers = [net for net in nets if net.kind == REG]
+    inputs = [net for net in nets if net.kind == INPUT]
     reg_slot = {net.id: slot for slot, net in enumerate(registers)}
-    payloads = tuple(net.payload for net in circuit.nets)
+    payloads = tuple(net.payload for net in nets)
     blocks: Tuple[Tuple[int, ...], ...] = tuple(
-        tuple(members) for members in lev.cyclic
+        tuple(sorted(members)) for members in lev.cyclic
     )
+
+    # -- the evaluation order ------------------------------------------------
+    # Levels strictly increase along augmented edges, so components on the
+    # same level are independent and any within-level order is valid.  Use
+    # net-id (creation) order: the worklist fires simultaneously-enabled
+    # actions in fanout (creation) order, and host-side effects that are
+    # ordered only by that convention — e.g. the frame-var Assign an
+    # inlined `run` prepends ahead of readers of the bound var — must
+    # observe the same order in every engine that walks ``rank_order``
+    # (the straight-line code, the sparse sweeps, the word plan).  A block
+    # sorts by its head (its smallest id); the sort is stable, so its
+    # members follow the head contiguously, in id order.
+    n = len(nets)
+    head = list(range(n))
+    block_of: Dict[int, int] = {}
+    for k, members in enumerate(blocks):
+        for net_id in members:
+            head[net_id] = members[0]
+            block_of[net_id] = k
+    key = [level * n + h for level, h in zip(levels, head)]
+    order = sorted(range(n), key=key.__getitem__)
+    rank_order = array("l", order)
+    rank = array("l", sorted(range(n), key=order.__getitem__))
+    payload_ids = tuple(
+        net.id for net in nets if net.kind == EXPR or net.kind == ACTION
+    )
+
     # Riders: acyclic EXPR/ACTION nets whose enable wire lives inside a
     # cyclic block.  The worklist fires payloads the moment their enable
     # settles, walking the wire's fanout in creation order — so a payload
@@ -475,61 +462,29 @@ def build_plan(circuit: Circuit) -> EvalPlan:
     # their readers) need the same interleaving here: riders join the
     # block's relaxation sweep, and their straight-line statement becomes
     # a no-op when the block already fired them (``guarded`` emission).
-    block_of: Dict[int, int] = {}
-    for k, members in enumerate(blocks):
-        for net_id in members:
-            block_of[net_id] = k
     rider_lists: List[List[int]] = [[] for _ in blocks]
-    for net in circuit.nets:
-        if (
-            (net.kind == EXPR or net.kind == ACTION)
-            and net.id not in block_of
-            and net.inputs[0][0] in block_of
-        ):
-            rider_lists[block_of[net.inputs[0][0]]].append(net.id)
+    for net_id in payload_ids:
+        enable = nets[net_id].inputs[0][0]
+        if enable in block_of and net_id not in block_of:
+            rider_lists[block_of[enable]].append(net_id)
     block_riders: Tuple[Tuple[int, ...], ...] = tuple(
         tuple(ids) for ids in rider_lists
     )
-    fanin_index, fanin_src, fanin_neg, dep_index, dep_ids = _fanin_csr(circuit)
 
-    # -- the evaluation order and the sparse-mode tables ---------------------
-    kind_code = array("b", (_KIND_CODE[net.kind] for net in circuit.nets))
-    # Levels strictly increase along augmented edges, so components on the
-    # same level are independent and any within-level order is valid.  Use
-    # net-id (creation) order: the worklist fires simultaneously-enabled
-    # actions in fanout (creation) order, and host-side effects that are
-    # ordered only by that convention — e.g. the frame-var Assign an
-    # inlined `run` prepends ahead of readers of the bound var — must
-    # observe the same order in every engine that walks ``rank_order``
-    # (the straight-line code, the sparse sweeps, the word plan).
-    rank = array("l", [0]) * len(circuit.nets)
-    rank_order = array("l", [0]) * len(circuit.nets)
-    position = 0
-    for component in sorted(
-        lev.order, key=lambda comp: (lev.levels[comp[0]], comp[0])
-    ):
-        for net_id in component:
-            rank[net_id] = position
-            rank_order[position] = net_id
-            position += 1
-    fanout_index = array("l", [0])
-    fanout_ids = array("l")
-    for net in circuit.nets:
-        fanout_ids.extend(edges[net.id])
-        fanout_index.append(len(fanout_ids))
-    payload_ids = tuple(
-        net.id for net in circuit.nets if net.kind == EXPR or net.kind == ACTION
-    )
+    # -- CSR adjacency, flattened from the per-net lists ---------------------
+    fanin_index, fanins = _csr([net.inputs for net in nets])
+    fanin_src = array("l", map(itemgetter(0), fanins))
+    fanin_neg = array("b", map(itemgetter(1), fanins))
+    dep_index, deps = _csr([net.deps for net in nets])
+    dep_ids = array("l", deps)
+    fanout_index, fanouts = _csr(edges)
+    fanout_ids = array("l", fanouts)
+    kind_code = array("b", [_KIND_CODE[net.kind] for net in nets])
     latch_lists: Dict[int, List[Tuple[int, bool, int]]] = {}
     for slot, reg in enumerate(registers):
         src, neg = reg.inputs[0]
         latch_lists.setdefault(src, []).append((slot, neg, reg.id))
     latch_of_wire = {wire: tuple(items) for wire, items in latch_lists.items()}
-    cones: Optional[Dict[int, int]] = None
-    cone_sizes: Optional[Dict[int, int]] = None
-    if not blocks:
-        cones = source_cones(circuit, lev, edges)
-        cone_sizes = {src: bits.bit_count() for src, bits in cones.items()}
 
     return EvalPlan(
         circuit,
@@ -552,6 +507,4 @@ def build_plan(circuit: Circuit) -> EvalPlan:
         payload_ids,
         reg_slot,
         latch_of_wire,
-        cones,
-        cone_sizes,
     )

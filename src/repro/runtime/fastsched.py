@@ -12,8 +12,8 @@ bound once per scheduler.
 
 :class:`SparseScheduler` re-evaluates only the dirty cone of each
 reaction.  On a pure plan its rare full sweeps (the boot reaction, the
-first reaction after ``reset()`` / ``restore()``, over-large cones) run
-the *interpreted* rank-order sweep — the same per-net evaluator as its
+first reaction after ``reset()`` / ``restore()``) run the *interpreted*
+rank-order sweep — the same per-net evaluator as its
 tail-scan bailout, then every register latched — unless the plan
 already holds compiled code (a hydrated artifact, or one a levelized
 machine built), in which case it calls that.  A sparse machine compiled
@@ -47,16 +47,10 @@ from repro.compiler.plan import (
 
 UNKNOWN = None
 
-#: the sparse mode falls back to the compiled full straight-line sweep
-#: *before* evaluating anything when the static union dirty cone of the
-#: changed sources covers this fraction of the circuit — at that point
-#: most nets may need recomputing and compiled code wins outright.
-SPARSE_FULL_CONE_FRACTION = 0.9
-
 #: mid-reaction bailout: once the *actually dirty* net count crosses this
 #: fraction of the circuit, the sparse evaluator stops heap-propagating
-#: and finishes the reaction as a straight-line tail scan (the static
-#: cone over-approximates; this bounds the cost when it under-predicted).
+#: and finishes the reaction as a straight-line tail scan — the runtime
+#: bound on a reaction that changes much of the circuit.
 SPARSE_BAILOUT_FRACTION = 0.25
 
 
@@ -264,21 +258,16 @@ class SparseScheduler(LevelizedScheduler):
     and host-effect interleavings byte-identical (checked by
     ``tests/test_backend_parity.py``).
 
-    Two fallbacks bound the cost when a lot *did* change.  Statically,
-    when the union forward cone of the changed sources covers more than
-    :data:`SPARSE_FULL_CONE_FRACTION` of the circuit, the reaction takes
-    a full sweep outright (see :meth:`_react_full`).  Dynamically —
-    because static reachability over-approximates (in control-heavy
-    circuits almost every net is reachable from any input, while a
-    typical reaction changes a handful) — the heap loop counts the nets
-    it actually dirtied, and past :data:`SPARSE_BAILOUT_FRACTION` of the
-    circuit it degrades to a straight-line *tail scan* over the remaining
-    ranks.  The tail scan, unlike restarting a full sweep, is safe after
-    payloads have already fired: every net still gets evaluated exactly
-    once, in the straight-line order.
+    One fallback bounds the cost when a lot *did* change.  The heap loop
+    counts the nets it actually dirtied, and past
+    :data:`SPARSE_BAILOUT_FRACTION` of the circuit it degrades to a
+    straight-line *tail scan* over the remaining ranks.  The tail
+    scan, unlike restarting a full sweep, is safe after payloads have
+    already fired: every net still gets evaluated exactly once, in the
+    straight-line order.
 
     Plans with cyclic relaxation blocks always take the full sweep
-    (``plan.sparse_eligible`` is False), so causality errors are reported
+    (``plan.is_pure`` is False), so causality errors are reported
     identically to the levelized backend.  :attr:`last_dirty` exposes the
     evaluated net ids of the latest reaction (``None`` after a full
     sweep) — the reactive machine uses it to update signal statuses
@@ -287,9 +276,8 @@ class SparseScheduler(LevelizedScheduler):
 
     def __init__(self, plan: EvalPlan, host: Any):
         super().__init__(plan, host)
-        self._sparse_ok = plan.sparse_eligible
+        self._sparse_ok = plan.is_pure
         n = len(plan.circuit.nets)
-        self._full_limit = SPARSE_FULL_CONE_FRACTION * n
         self._bail_limit = max(int(SPARSE_BAILOUT_FRACTION * n), 64)
         #: net ids evaluated by the last reaction; None = full sweep
         self.last_dirty: Optional[List[int]] = None
@@ -309,7 +297,7 @@ class SparseScheduler(LevelizedScheduler):
     def _sweep_fn(self, plan: EvalPlan) -> Optional[Callable[..., bool]]:
         # Impure plans always take the compiled sweep; pure ones use code
         # only when the plan already holds it.
-        if plan.sparse_eligible and not plan.has_code:
+        if plan.is_pure and not plan.has_code:
             return None
         return plan.fn
 
@@ -326,25 +314,6 @@ class SparseScheduler(LevelizedScheduler):
             self._react_full(input_values, present)
             return
         changed_inputs = present.symmetric_difference(self._prev_present)
-        plan = self.plan
-        cone_sizes = plan.cone_sizes
-        estimate = len(self._hot)
-        for net_id in changed_inputs:
-            estimate += cone_sizes[net_id]
-        for net_id in self._dirty_regs:
-            estimate += cone_sizes[net_id]
-        if estimate > self._full_limit:
-            # The cheap sum over-counts shared cone regions; only compute
-            # the exact union (bitset OR) when the sum looks alarming.
-            cones = plan.cones
-            union = 0
-            for net_id in changed_inputs:
-                union |= cones[net_id]
-            for net_id in self._dirty_regs:
-                union |= cones[net_id]
-            if union.bit_count() + len(self._hot) > self._full_limit:
-                self._react_full(input_values, present)
-                return
         self._need_full = True  # stays set if a payload raises mid-cone
         self._react_sparse(input_values, changed_inputs)
         self._prev_present = present

@@ -299,7 +299,7 @@ class ReactiveMachine:
         if backend != "auto":
             return backend
         plan = self.compiled.evaluation_plan()
-        if plan.sparse_eligible and len(plan.circuit.nets) >= SPARSE_MIN_NETS:
+        if plan.is_pure and len(plan.circuit.nets) >= SPARSE_MIN_NETS:
             return "sparse"
         return "levelized" if plan.auto_eligible else "worklist"
 
@@ -632,7 +632,7 @@ class ReactiveMachine:
         values = self._scheduler.values
         dirty = self._scheduler.last_dirty
         if dirty is None:
-            # Full sweep (first reaction, large cone, or fallback plan):
+            # Full sweep (first reaction, after reset/restore, or fallback plan):
             # classic post-processing, rebuilding the tracking sets.
             return self._finish_full_sweep(values)
 

@@ -109,7 +109,7 @@ class TestAutoPolicy:
         (the sparse backend itself still works when asked for)."""
         module = parse_module("module M(in I, out X) { if (I.now) { emit X } }")
         machine = ReactiveMachine(module)  # backend="auto"
-        assert machine.compiled.evaluation_plan().sparse_eligible
+        assert machine.compiled.evaluation_plan().is_pure
         assert machine.backend == "levelized"
         explicit = ReactiveMachine(module, backend="sparse")
         assert explicit.backend == "sparse"
@@ -123,7 +123,7 @@ class TestAutoPolicy:
         score = make_large_score(sections=4, groups_per_section=5, patterns_per_group=6)
         perf = Performance(score, Audience(size=0))  # backend="auto"
         assert perf.machine.backend == "sparse"
-        assert perf.machine.compiled.evaluation_plan().sparse_eligible
+        assert perf.machine.compiled.evaluation_plan().is_pure
 
     def test_cyclic_program_same_error_all_backends(self):
         module = parse_module(
@@ -217,3 +217,69 @@ class TestPaperAppParity:
         sparse = _skini_trace("sparse")
         assert auto[0] == "levelized"  # the paper score is only ~80 nets
         assert worklist[1:] == auto[1:] == sparse[1:]
+
+
+def _wide_module(branches=8):
+    """An abort over ``branches`` two-phase loops: every instant flips
+    every branch's registers, and each ``I`` restarts the whole body."""
+    loops = "\n    } par {\n".join(
+        f"      loop {{ emit O{k}; yield; emit P{k}; yield }}" for k in range(branches)
+    )
+    outs = ", ".join(f"out O{k}, out P{k}" for k in range(branches))
+    return parse_module(
+        f"module Wide(in I, {outs}) {{\n  loop {{\n    abort (I.now) {{\n"
+        f"      fork {{\n{loops}\n      }}\n    }}\n    yield\n  }}\n}}"
+    )
+
+
+def _reach(plan, sources):
+    """Nets reachable from ``sources`` over the plan's fanout arrays."""
+    seen = set(sources)
+    stack = list(sources)
+    while stack:
+        i = stack.pop()
+        for j in range(plan.fanout_index[i], plan.fanout_index[i + 1]):
+            succ = plan.fanout_ids[j]
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
+
+
+def test_sparse_wide_reaction_takes_the_bailout():
+    """Reactions whose changed sources reach more than 90 % of the nets
+    run sparse and finish as a straight-line tail scan past the dirty-net
+    bound — with the worklist's trace and state digest."""
+    module = _wide_module()
+    sparse = ReactiveMachine(module, backend="sparse")
+    worklist = ReactiveMachine(module, backend="worklist")
+    scheduler = sparse._scheduler
+    plan = scheduler.plan
+    n = len(plan.circuit.nets)
+    i_net = plan.circuit.interface["I"].input_net.id
+    tail_starts = []
+    tail_scan = scheduler._tail_scan
+
+    def spy(start_rank, *args):
+        tail_starts.append(start_rank)
+        return tail_scan(start_rank, *args)
+
+    scheduler._tail_scan = spy
+    wide = 0
+    for i in range(16):
+        inputs = {"I": True} if i % 4 == 3 else {}
+        changed = set(scheduler._dirty_regs)
+        if ("I" in inputs) != (i_net in scheduler._prev_present):
+            changed.add(i_net)
+        booted = i > 0
+        del tail_starts[:]
+        got = sparse.react(dict(inputs))
+        want = worklist.react(dict(inputs))
+        assert (dict(got), dict(got.statuses)) == (dict(want), dict(want.statuses))
+        if booted and len(_reach(plan, changed)) > 0.9 * n:
+            wide += 1
+            assert scheduler.last_dirty is not None  # stayed sparse
+            assert tail_starts and tail_starts[0] > 0  # bailed out mid-reaction
+    assert wide >= 8
+    assert scheduler.full_reactions == 1  # the boot sweep only
+    assert sparse.state_digest() == worklist.state_digest()

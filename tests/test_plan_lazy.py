@@ -4,8 +4,8 @@ interpreted full sweep that replaces it on sparse machines.
 ``build_plan`` produces only the evaluation order; ``EvalPlan.source`` /
 ``EvalPlan.fn`` are generated and ``compile()``d on first use.  A sparse
 machine on a pure plan runs its full sweeps (boot, after ``reset()`` /
-``restore()``, over-large cones) interpreted in rank order unless the
-plan already holds code.  These tests pin both halves:
+``restore()``) interpreted in rank order unless the plan already holds
+code.  These tests pin both halves:
 
 * equivalence — a sparse machine with no plan code and one bound to the
   compiled sweep agree exactly (outputs, net values, register state,
@@ -124,12 +124,12 @@ def _program_case(program):
 
 def corpus_cases():
     cases = [_program_case(corpus.load_corpus_case(path)[0]) for path in CORPUS_PATHS]
-    return [case for case in cases if case[0].evaluation_plan().sparse_eligible]
+    return [case for case in cases if case[0].evaluation_plan().is_pure]
 
 
 def generated_cases(seeds=range(12)):
     cases = [_program_case(generate_program(seed)) for seed in seeds]
-    return [case for case in cases if case[0].evaluation_plan().sparse_eligible]
+    return [case for case in cases if case[0].evaluation_plan().is_pure]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ class Pair:
 
     def __init__(self, compiled, host_globals):
         self.plan = plan = compiled.evaluation_plan()
-        assert plan.sparse_eligible
+        assert plan.is_pure
         self.log = {}
         self.armed = {}  # machine id -> payload calls left before Bomb
         payloads = plan.payloads
@@ -349,7 +349,7 @@ def test_sparse_machine_from_source_never_builds_code():
     assert machine._scheduler.sparse_reactions > 80
     _assert_no_code(plan)
     # stats and introspection build nothing either
-    plan.describe(), plan.cone_stats(), repr(plan), plan.memory_estimate()
+    plan.describe(), repr(plan), plan.memory_estimate()
     fleet = MachineFleet(compiled, size=3, backend="sparse")
     fleet.react_all(inputs(1))
     fleet.memory_report(), fleet.stats()
